@@ -6,8 +6,8 @@
 //! under a Bonferroni-style correction for the size of the hypothesis
 //! space, and only when they are *productive* — strictly more confident
 //! than every immediate generalisation. Magnum Opus itself is closed
-//! source; this module reimplements the published method (see DESIGN.md §4
-//! for the substitution rationale).
+//! source; this module reimplements the published method (the
+//! `twoview_baselines` crate docs list every such substitution).
 //!
 //! Mirroring the paper's protocol (§6.3), the miner runs once per
 //! orientation — antecedents from one view, single-item consequents from

@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md §6:
+//! Ablation benchmarks for the main design choices:
 //!
 //! 1. EXACT bound effectiveness (`rub` / `qub` on vs off);
 //! 2. SELECT candidate class (closed vs all frequent itemsets);

@@ -2,7 +2,7 @@
 //!
 //! Criterion benchmarks regenerating the runtime dimension of every table
 //! and figure of the paper (the quality dimensions are regenerated by the
-//! `twoview-eval` binaries; see DESIGN.md §5 for the experiment index).
+//! `twoview-eval` binaries; the `twoview-eval` crate docs index them).
 //!
 //! Benchmarks use subsampled corpus datasets so a full `cargo bench`
 //! finishes in minutes; the eval binaries' `--full` mode provides

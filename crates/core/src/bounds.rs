@@ -1,23 +1,20 @@
 //! Shared admissible bounds on rule gains (paper §5.2).
 //!
-//! All three TRANSLATOR algorithms prune candidate evaluation with the same
-//! two bounds, both of which dominate every directional gain of a pair
-//! `(X, Y)`:
+//! The TRANSLATOR algorithms prune candidate evaluation with two bounds,
+//! both of which dominate every directional gain of a pair `(X, Y)`:
 //!
 //! * **`qub(X ◇ Y)`** — the *quick* bound
 //!   `|supp(X)|·L(Y) + |supp(Y)|·L(X) − L(X↔Y)`. It depends only on
 //!   supports and code lengths, never on the cover state, so a candidate
 //!   with `qub ≤ 0` can be dropped permanently; a candidate with
 //!   `qub ≤ best` can skip exact gain evaluation at the current node. Not
-//!   valid for extensions of `(X, Y)`.
+//!   valid for extensions of `(X, Y)`. SELECT, GREEDY and EXACT all use it.
 //! * **`rub(X ◇ Y)`** — the *rule* bound
 //!   `Σ_{X ⊆ t_L} tub(t_R) + Σ_{Y ⊆ t_R} tub(t_L) − L(X↔Y)`, where
 //!   `tub(t)` is the encoded size of the transaction's still-uncovered
 //!   items ([`CoverState::uncovered_weight`]). It is monotonically
 //!   non-increasing under itemset extension, which makes it the subtree
-//!   pruning bound of TRANSLATOR-EXACT; SELECT uses it per round to skip
-//!   exact re-evaluation of dirty candidates that provably cannot enter
-//!   the top-k.
+//!   pruning bound of TRANSLATOR-EXACT.
 //!
 //! Domination proof sketch: a directional gain can credit at most the
 //! uncovered weight of each supporting target row (that is `rub`'s sum),
@@ -26,23 +23,6 @@
 //! bounds for all three directions. The `proptests_bounds` suite checks
 //! domination on random data; undershooting either bound would silently
 //! break the exactness of the search.
-//!
-//! ## Incremental maintenance
-//!
-//! `rub`'s two `Σ tub` sums admit cheap incremental upkeep because cover
-//! updates only ever *shrink* tub mass: applying a rule decrements
-//! `uncovered_weight` for the freshly covered `(side, transaction)` cells
-//! and never increases it. SELECT and EXACT therefore keep per-candidate
-//! sums current by streaming those decrements through a
-//! transaction→candidate inverted index
-//! ([`SelectConfig::incremental_rub`](crate::select::SelectConfig::incremental_rub),
-//! [`ExactConfig::incremental_rub`](crate::exact::ExactConfig::incremental_rub))
-//! instead of re-walking supports, turning the bound into an O(1)
-//! per-candidate check via [`rub_parts`]. The maintained sums carry float
-//! drift from repeated subtraction, so prune decisions add a relative
-//! slack (`1e-9 · (1 + |Σ_fwd| + |Σ_bwd|)`) that keeps the bound
-//! admissible — the true `rub` never exceeds the slackened maintained
-//! value, and both algorithms stay bit-identical to full recomputation.
 
 use twoview_data::prelude::*;
 

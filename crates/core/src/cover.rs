@@ -64,12 +64,6 @@ pub struct CoverState<'d> {
     n_uncovered: [usize; 2],
     /// Per side: `|E|` (number of erroneous ones).
     n_errors: [usize; 2],
-    /// When [`CoverState::set_tub_delta_log`] is on, every tub decrement is
-    /// recorded as `(target side index, tid, weight removed)` so callers
-    /// (SELECT/EXACT incremental rub sums) can replay exactly the mass each
-    /// rule application drained from the tub columns.
-    tub_deltas: Vec<(u8, u32, f64)>,
-    log_tub_deltas: bool,
     table: TranslationTable,
 }
 
@@ -101,8 +95,6 @@ impl<'d> CoverState<'d> {
             l_table: 0.0,
             n_uncovered: [0, 0],
             n_errors: [0, 0],
-            tub_deltas: Vec::new(),
-            log_tub_deltas: false,
             table: TranslationTable::new(),
             codes,
             data,
@@ -195,21 +187,6 @@ impl<'d> CoverState<'d> {
     /// The whole `tub` column of one side.
     pub fn uncovered_weights(&self, side: Side) -> &[f64] {
         &self.uncovered_weight[ix(side)]
-    }
-
-    /// Turns tub-delta logging on or off (the buffer is cleared either
-    /// way). While on, every `uncovered_weight` decrement made by rule
-    /// application is appended to an internal log for
-    /// [`CoverState::take_tub_deltas`].
-    pub fn set_tub_delta_log(&mut self, on: bool) {
-        self.log_tub_deltas = on;
-        self.tub_deltas.clear();
-    }
-
-    /// Drains the logged tub decrements: `(ix(target side), tid, weight)`
-    /// triples in application order. Empty unless logging is enabled.
-    pub fn take_tub_deltas(&mut self) -> Vec<(u8, u32, f64)> {
-        std::mem::take(&mut self.tub_deltas)
     }
 
     /// The covered-tids column of the `local`-th item of `side`.
@@ -371,9 +348,6 @@ impl<'d> CoverState<'d> {
                 self.l_corrections[ti] -= w;
                 self.uncovered_weight[ti][t] -= w;
                 self.n_uncovered[ti] -= 1;
-                if self.log_tub_deltas {
-                    self.tub_deltas.push((ti as u8, t as u32, w));
-                }
             }
             self.covered[ti][l].union_with(&fresh_cov);
             // Misses become errors; only fresh ones cost anything, and they
@@ -695,37 +669,6 @@ mod tests {
                 s.apply_rule(rule.clone());
             }
         }
-    }
-
-    #[test]
-    fn tub_delta_log_replays_column_shrinkage() {
-        let d = toy();
-        let mut s = CoverState::new(&d);
-        let mut replay = [
-            s.uncovered_weights(Side::Left).to_vec(),
-            s.uncovered_weights(Side::Right).to_vec(),
-        ];
-        s.set_tub_delta_log(true);
-        s.apply_rule(rule_ab_xy(Direction::Both));
-        s.apply_rule(TranslationRule::new(
-            ItemSet::from_items([0]),
-            ItemSet::from_items([3, 4]),
-            Direction::Forward,
-        ));
-        let deltas = s.take_tub_deltas();
-        assert!(!deltas.is_empty());
-        for (ti, t, w) in deltas {
-            replay[ti as usize][t as usize] -= w;
-        }
-        for side in Side::BOTH {
-            for (t, &w) in replay[ix(side)].iter().enumerate() {
-                assert!(
-                    (w - s.uncovered_weight(side, t)).abs() < 1e-12,
-                    "replayed tub drifts at ({side},{t})"
-                );
-            }
-        }
-        assert!(s.take_tub_deltas().is_empty(), "take drains the log");
     }
 
     #[test]

@@ -110,18 +110,6 @@ pub struct ExactConfig {
     /// visits a different truncation frontier than the fan-out's
     /// per-subtree budgets.
     pub n_threads: Option<usize>,
-    /// Maintain the per-seed `Σ tub` sums behind `rub` incrementally across
-    /// rule iterations (default), mirroring
-    /// [`SelectConfig::incremental_rub`](crate::select::SelectConfig::incremental_rub):
-    /// rule applications stream their tub decrements through a
-    /// transaction→seed inverted index, and the seed-refresh scan skips any
-    /// dirty seed whose maintained bound (plus admissibility slack) cannot
-    /// beat the running incumbent gain. The skipped seed stays dirty, and
-    /// because its true gain ≤ its true `rub` ≤ the maintained bound, it
-    /// provably cannot change the incumbent — the DFS that follows is
-    /// bit-identical. Falls back to full refreshes when the seed tidsets
-    /// are not all cached or the index would bust the cache budget.
-    pub incremental_rub: bool,
 }
 
 impl Default for ExactConfig {
@@ -133,7 +121,6 @@ impl Default for ExactConfig {
             max_rules: None,
             candidate_seed_minsup: Some(1),
             n_threads: None,
-            incremental_rub: true,
         }
     }
 }
@@ -191,13 +178,6 @@ impl ExactConfigBuilder {
     /// [`ExactConfig::n_threads`]).
     pub fn threads(mut self, t: usize) -> Self {
         self.cfg.n_threads = Some(t);
-        self
-    }
-
-    /// Incremental `Σ tub` seed-bound maintenance (see
-    /// [`ExactConfig::incremental_rub`]).
-    pub fn incremental_rub(mut self, on: bool) -> Self {
-        self.cfg.incremental_rub = on;
         self
     }
 
@@ -278,23 +258,10 @@ pub(crate) fn run_exact(
     // them on every refresh dominated incumbent maintenance on large
     // corpora. The budget meters the actual bytes of each tidset's chosen
     // representation, so sparse corpora cache far larger seed sets.
-    let seed_tids = crate::select::TidSource::Owned(crate::select::build_owned_tids(data, &seeds));
+    let seed_tids = crate::select::build_owned_tids(data, &seeds);
     let mut seed_gains: Vec<f64> = vec![f64::NEG_INFINITY; n_seeds];
     let mut seed_dirs: Vec<Direction> = vec![Direction::Both; n_seeds];
     let mut dirty: Vec<bool> = vec![true; n_seeds];
-    // Incremental seed bounds (see `ExactConfig::incremental_rub`): the
-    // same CSR index SELECT maintains, consumed here by the seed-refresh
-    // scan. Positions coincide with indices for the owned cache, so the
-    // identity mapping serves as `live_idx`.
-    let idx_of: Vec<usize> = (0..n_seeds).collect();
-    let mut inc = if cfg.incremental_rub {
-        crate::select::build_inc_rub(&state, &seeds, &idx_of, &seed_tids)
-    } else {
-        None
-    };
-    if inc.is_some() {
-        state.set_tub_delta_log(true);
-    }
 
     let mut trace = Vec::new();
     let mut truncated = false;
@@ -314,31 +281,13 @@ pub(crate) fn run_exact(
             }
         }
         // Refresh the cached seed gains and pick the best as the incumbent.
-        // `cur_max` tracks the running incumbent gain (seeded at 0.0, the
-        // historical `map_or(0.0)` floor), letting the incremental bound
-        // skip dirty seeds that provably cannot beat it: the skipped
-        // seed's true gain ≤ its true rub ≤ the maintained bound ≤
-        // cur_max, and the incumbent scan requires strict `>`, so it could
-        // neither win nor move `cur_max` — the incumbent (and the DFS it
-        // seeds) is bit-identical. Skipped seeds stay dirty.
+        // `cur_max` tracks the running incumbent gain, seeded at 0.0 so
+        // only a strictly positive gain can become the incumbent.
         let mut incumbent: Option<(TranslationRule, f64)> = None;
         let mut cur_max = 0.0f64;
         for (idx, cand) in seeds.iter().enumerate() {
             if dirty[idx] {
-                if let Some(inc) = inc.as_ref() {
-                    if inc.bound_with_slack(idx) <= cur_max {
-                        continue;
-                    }
-                }
-                let computed;
-                let (lt, rt) = match seed_tids.get(idx, idx) {
-                    Some((lt, rt)) => (lt, rt),
-                    None => {
-                        computed = (data.support_set(&cand.left), data.support_set(&cand.right));
-                        (&computed.0, &computed.1)
-                    }
-                };
-                let gains = state.pair_gains(&cand.left, &cand.right, lt, rt);
+                let gains = crate::select::candidate_gains(&state, cand, seed_tids[idx].as_ref());
                 // Last-max over Direction::ALL order, matching the
                 // historical `max_by(partial_cmp)` tie-break without the
                 // NaN unwrap (gains are never NaN).
@@ -368,10 +317,6 @@ pub(crate) fn run_exact(
         match outcome.best {
             Some((rule, gain)) if gain > 0.0 => {
                 state.apply_rule(rule.clone());
-                // Fold the rule's tub decrements into the maintained sums.
-                if let Some(inc) = inc.as_mut() {
-                    inc.fold(state.take_tub_deltas());
-                }
                 // Invalidate seeds sharing items with the applied rule.
                 for (idx, cand) in seeds.iter().enumerate() {
                     if !cand.left.is_disjoint(&rule.left) || !cand.right.is_disjoint(&rule.right) {
@@ -1120,41 +1065,6 @@ mod tests {
             let other = translator_exact_with(&d, &capped(threads));
             assert_eq!(two.table, other.table, "threads {threads}");
             assert_eq!(two.truncated, other.truncated);
-        }
-    }
-
-    #[test]
-    fn incremental_seed_bounds_are_result_identical() {
-        // The incremental seed-bound skip must not change any model: same
-        // rules, same trace length, same score, on structured and random
-        // data, across seed minsups.
-        let mut rng = StdRng::seed_from_u64(4242);
-        let mut datasets = vec![structured()];
-        for _ in 0..5 {
-            let vocab = Vocabulary::unnamed(5, 5);
-            let txs: Vec<Vec<ItemId>> = (0..25)
-                .map(|_| (0..10).filter(|_| rng.gen_bool(0.4)).collect())
-                .collect();
-            datasets.push(TwoViewDataset::from_transactions(vocab, &txs));
-        }
-        for (di, d) in datasets.iter().enumerate() {
-            for minsup in [1, 2] {
-                let base = ExactConfig {
-                    candidate_seed_minsup: Some(minsup),
-                    ..ExactConfig::default()
-                };
-                let with = translator_exact_with(d, &base);
-                let without = translator_exact_with(
-                    d,
-                    &ExactConfig {
-                        incremental_rub: false,
-                        ..base
-                    },
-                );
-                assert_eq!(with.table, without.table, "dataset {di} minsup {minsup}");
-                assert_eq!(with.trace.len(), without.trace.len());
-                assert!((with.score.l_total - without.score.l_total).abs() < 1e-9);
-            }
         }
     }
 

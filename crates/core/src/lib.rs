@@ -49,7 +49,6 @@ pub mod encoding;
 pub mod engine;
 pub mod error;
 pub mod exact;
-pub mod fit;
 pub mod greedy;
 pub mod model;
 pub mod multiview;
@@ -65,13 +64,12 @@ pub use analysis::{rule_set_redundancy, rule_stats, summarize, RuleStats, TableS
 pub use cover::CoverState;
 pub use cover_rows::RowCoverState;
 pub use encoding::{correction_encoding_gap, CodeLengths};
-pub use engine::{Engine, EngineBuilder, EngineStats};
+pub use engine::{fit, Algorithm, Engine, EngineBuilder, EngineStats};
 pub use error::Error;
 pub use exact::{
     translator_exact, translator_exact_seeded, translator_exact_with, ExactConfig,
     ExactConfigBuilder,
 };
-pub use fit::{fit, Algorithm};
 pub use greedy::{translator_greedy, CandidateOrder, GreedyConfig, GreedyConfigBuilder};
 pub use model::{evaluate_table, ModelScore, TraceStep, TranslatorModel};
 pub use persist::{EngineSnapshotParts, InspectReport, SnapshotError};

@@ -9,24 +9,16 @@
 //! exact gain-cache used here: a candidate's cached gains stay valid until
 //! a rule touching one of its items is applied.
 //!
-//! Two further devices speed up the per-iteration refresh without changing
-//! any result:
-//!
-//! * **`rub` pruning** ([`crate::bounds::rub`], paper §5.2) — before a
-//!   dirty candidate's gains are recomputed exactly, its rule bound is
-//!   compared against the k-th best gain already cached among *clean*
-//!   candidates. A candidate whose `rub` is strictly below that threshold
-//!   (or not positive) provably cannot enter this round's top-k; it skips
-//!   exact evaluation and stays dirty for the next round.
-//! * **multithreaded refresh** — dirty candidates are refreshed in
-//!   parallel over chunks of the dirty-index work list through the
-//!   persistent [`twoview_runtime`] pool ([`Runtime::map_chunks`] —
-//!   results merged in submission order), with every worker reading the
-//!   shared `&CoverState`. The pruning threshold is fixed before the
-//!   refresh starts, so the outcome is identical for any thread count.
-//!   The pre-pool per-round `std::thread::scope` implementation survives
-//!   behind [`SelectConfig::legacy_scope`] for differential testing and
-//!   as the `perfsuite` pool-vs-scope baseline.
+//! Each round refreshes exactly the dirty candidates with
+//! [`CoverState::pair_gains`]: serially for short work lists, and above
+//! the refresh floor in parallel over chunks of the dirty-index work list
+//! through the persistent [`twoview_runtime`] pool
+//! ([`Runtime::map_chunks`] — results merged in submission order), with
+//! every worker reading the shared `&CoverState`. The outcome is identical
+//! for any thread count. SELECT does not consult the rule bound `rub`:
+//! with the columnar gain kernel, checking the bound cost about as much as
+//! the evaluation it skipped, so the bound is left to EXACT's search
+//! (measurements in the README's *Performance* section).
 //!
 //! [`Runtime::map_chunks`]: twoview_runtime::Runtime::map_chunks
 
@@ -43,8 +35,6 @@ struct SelectMetrics {
     runs: obs::Counter,
     iterations: obs::Counter,
     refreshes: obs::Counter,
-    rub_prunes: obs::Counter,
-    round2_prunes: obs::Counter,
 }
 
 fn select_metrics() -> &'static SelectMetrics {
@@ -53,8 +43,6 @@ fn select_metrics() -> &'static SelectMetrics {
         runs: obs::counter("select.runs"),
         iterations: obs::counter("select.iterations"),
         refreshes: obs::counter("select.refreshes"),
-        rub_prunes: obs::counter("select.rub_prunes"),
-        round2_prunes: obs::counter("select.round2_prunes"),
     })
 }
 
@@ -77,68 +65,21 @@ pub struct SelectConfig {
     /// Candidate-count safety valve.
     pub max_candidates: usize,
     /// Use the disjointness-based gain cache (result-identical; ablation
-    /// switch measures its speedup).
+    /// switch measures its speedup, and tests use `false` as the
+    /// refresh-everything reference).
     pub gain_cache: bool,
-    /// Use the `rub` bound to skip exact gain evaluation of dirty
-    /// candidates that cannot enter the current round's top-k
-    /// (result-identical; ablation switch measures its speedup).
-    pub use_rub: bool,
-    /// Gate `rub` behind a per-candidate cost model (default). The bound
-    /// walks every support bit while the columnar gain kernel walks
-    /// `2·(|X|+|Y|)` word strides, so for dense supports the bound costs
-    /// more than the evaluation it would skip; the gate consults it only
-    /// for candidates whose supports are sparse enough to make it pay
-    /// (bit-iteration ≈ 4× a word op). Supports never change, so
-    /// eligibility is precomputed once per run. Disabling the gate forces
-    /// the bound for every dirty candidate — result-identical either way;
-    /// tests use it to exercise the pruning branch on tiny data.
-    ///
-    /// Only consulted when the incremental sums (below) are inactive: the
-    /// gate exists to ration a recomputation the incremental path never
-    /// performs.
-    pub rub_cost_gate: bool,
-    /// Maintain the per-candidate `Σ tub` sums behind `rub` incrementally
-    /// across rounds (default). Cover updates only ever *shrink* tub mass,
-    /// so each rule application streams `(tid, weight)` decrements through
-    /// a transaction→candidate inverted index instead of every dirty
-    /// candidate re-walking its supports. The bound then costs O(1) per
-    /// candidate per round and every candidate becomes bound-eligible (no
-    /// cost gate).
-    ///
-    /// Maintenance is not free — each decrement touches every candidate
-    /// whose support holds that transaction — so the machinery arms
-    /// itself from a **probe round**: round two (the first with a live
-    /// pruning threshold) consults the exact bound for a fixed-size
-    /// prefix sample of the dirty candidates, and the index is built
-    /// only when the observed prune
-    /// rate says the bound actually bites on this corpus. Dense corpora
-    /// with loose bounds keep the cheap cost-gated path; prune-heavy
-    /// corpora pay one index build and O(1) bounds thereafter — and the
-    /// index disarms itself again if the armed prune rate later collapses
-    /// below the arming bar (the probe round's rate is not always
-    /// representative at scale). Also falls
-    /// back when the candidate tidsets are not all cached or the index
-    /// would bust the tidset cache budget. Result-identical in every
-    /// case: maintained sums carry float drift, so any bound within the
-    /// drift slack of the prune threshold is re-derived exactly before
-    /// the decision.
-    pub incremental_rub: bool,
     /// Worker threads for the gain refresh and candidate mining. `None` =
     /// the process default ([`twoview_runtime::configured_threads`]:
     /// `TWOVIEW_RUNTIME_THREADS` or one per available core); `Some(1)` =
     /// single-threaded. The model is identical for any value.
     pub n_threads: Option<usize>,
-    /// Refresh through per-round `std::thread::scope` spawns instead of
-    /// the persistent pool (result-identical; kept for differential
-    /// testing and as the `perfsuite` baseline, like `RowCoverState`).
-    pub legacy_scope: bool,
     /// Iteration safety valve (`None` = run to convergence).
     pub max_iterations: Option<usize>,
 }
 
 impl SelectConfig {
     /// Fluent builder with paper-default settings: `SELECT(1)` at
-    /// `minsup = 1`, closed candidates, gain cache and `rub` pruning on.
+    /// `minsup = 1`, closed candidates, gain cache on.
     pub fn builder() -> SelectConfigBuilder {
         SelectConfigBuilder {
             cfg: SelectConfig {
@@ -147,11 +88,7 @@ impl SelectConfig {
                 closed_candidates: true,
                 max_candidates: 2_000_000,
                 gain_cache: true,
-                use_rub: true,
-                rub_cost_gate: true,
-                incremental_rub: true,
                 n_threads: None,
-                legacy_scope: false,
                 max_iterations: None,
             },
         }
@@ -195,26 +132,6 @@ impl SelectConfigBuilder {
         self
     }
 
-    /// `rub`-bound pruning of dirty-candidate refreshes (result-identical).
-    pub fn rub(mut self, on: bool) -> Self {
-        self.cfg.use_rub = on;
-        self
-    }
-
-    /// Cost-gate the `rub` bound per candidate (see
-    /// [`SelectConfig::rub_cost_gate`]).
-    pub fn rub_cost_gate(mut self, on: bool) -> Self {
-        self.cfg.rub_cost_gate = on;
-        self
-    }
-
-    /// Incremental `Σ tub` bound maintenance (see
-    /// [`SelectConfig::incremental_rub`]).
-    pub fn incremental_rub(mut self, on: bool) -> Self {
-        self.cfg.incremental_rub = on;
-        self
-    }
-
     /// Worker threads for refresh and mining (`Some(t)` semantics).
     pub fn threads(mut self, t: usize) -> Self {
         self.cfg.n_threads = Some(t);
@@ -224,12 +141,6 @@ impl SelectConfigBuilder {
     /// Inherit the process-default thread count (the default).
     pub fn default_threads(mut self) -> Self {
         self.cfg.n_threads = None;
-        self
-    }
-
-    /// Refresh through per-round scoped spawns instead of the pool.
-    pub fn legacy_scope(mut self, on: bool) -> Self {
-        self.cfg.legacy_scope = on;
         self
     }
 
@@ -248,29 +159,16 @@ impl SelectConfigBuilder {
 /// Counters reported by one SELECT run (perfsuite / diagnostics).
 #[derive(Clone, Debug, Default)]
 pub struct SelectStats {
-    /// Dirty-candidate refreshes skipped by the `rub` bound.
+    /// Always 0: SELECT no longer prunes refreshes with the `rub` bound.
+    /// Kept so existing readers of the counter still compile.
     pub rub_prunes: usize,
-    /// `rub` prunes in round two alone — the first round with a live
-    /// pruning threshold. Round one is identical in every configuration,
-    /// so round two is the one decision point where the incremental and
-    /// cost-gated paths see the same cover state and threshold and differ
-    /// only in bound eligibility; the incremental probe consults the
-    /// bound for *every* stale candidate (a superset of the cost gate's
-    /// eligible set), so this count provably dominates the cost-gated
-    /// run's. Cumulative counts carry no such guarantee: pruning more in
-    /// early rounds leaves fewer clean cached gains, which can lower
-    /// later thresholds and shift when candidates settle.
-    pub round2_prunes: usize,
     /// Exact gain evaluations performed.
     pub refreshes: usize,
     /// Iterations of the outer selection loop.
     pub iterations: usize,
-    /// Serial time spent initialising and maintaining the incremental
-    /// bound sums and taking prune decisions (milliseconds).
+    /// Always 0: SELECT maintains no bound state. Kept so existing
+    /// readers of the timer still compile.
     pub bound_maintain_ms: f64,
-    /// Whether the probe armed the incremental `Σ tub` index this run
-    /// (it may disarm itself later if the armed prune rate collapses).
-    pub incremental_active: bool,
 }
 
 /// Runs TRANSLATOR-SELECT(k): mines candidates, then fits.
@@ -288,36 +186,21 @@ pub fn translator_select(data: &TwoViewDataset, cfg: &SelectConfig) -> Translato
     model
 }
 
-/// One refresh unit: a candidate, its (optionally cached) tidsets, and its
-/// slot in the gain table.
-fn refresh_candidate(
+/// Exact gains of one candidate, from its cached tidsets when present
+/// (shared with EXACT's seed refresh).
+pub(crate) fn candidate_gains(
     state: &CoverState<'_>,
     cand: &TwoViewCandidate,
     tids: Option<&(Tidset, Tidset)>,
-    threshold: f64,
-    use_rub: bool,
-    gains: &mut [f64; 3],
-) -> bool {
-    let data = state.data();
-    let computed;
-    let (lt, rt) = match tids {
-        Some((lt, rt)) => (lt, rt),
+) -> [f64; 3] {
+    match tids {
+        Some((lt, rt)) => state.pair_gains(&cand.left, &cand.right, lt, rt),
         None => {
-            computed = (data.support_set(&cand.left), data.support_set(&cand.right));
-            (&computed.0, &computed.1)
-        }
-    };
-    if use_rub {
-        let rub = bounds::rub(state, &cand.left, &cand.right, lt, rt);
-        // Entries need gain > 0 and the top-k already holds `threshold`;
-        // strictly-below candidates cannot be selected this round. Keep
-        // them dirty and their cached gains stale.
-        if rub <= 0.0 || rub < threshold {
-            return false;
+            let data = state.data();
+            let (lt, rt) = (data.support_set(&cand.left), data.support_set(&cand.right));
+            state.pair_gains(&cand.left, &cand.right, &lt, &rt)
         }
     }
-    *gains = state.pair_gains(&cand.left, &cand.right, lt, rt);
-    true
 }
 
 /// Runs SELECT(k) over a pre-mined candidate set (benchmarks reuse mined
@@ -335,7 +218,7 @@ pub fn translator_select_candidates(
 }
 
 /// [`translator_select_candidates`] with run counters reported through
-/// `stats` (prune counts, refresh counts, bound-maintenance time).
+/// `stats` (iteration and refresh counts).
 pub fn translator_select_candidates_with_stats(
     data: &TwoViewDataset,
     cfg: &SelectConfig,
@@ -348,9 +231,8 @@ pub fn translator_select_candidates_with_stats(
     }
 }
 
-/// Where a refresh finds a candidate's tidsets (shared with EXACT's seed
-/// refresh, which reuses the same incremental-bound machinery).
-pub(crate) enum TidSource<'a> {
+/// Where a refresh finds a candidate's tidsets.
+enum TidSource<'a> {
     /// Pre-computed slice aligned with the *original* candidate indices
     /// (the engine's shared seed-tidset cache).
     Shared(&'a [(Tidset, Tidset)]),
@@ -361,7 +243,7 @@ pub(crate) enum TidSource<'a> {
 
 impl TidSource<'_> {
     #[inline]
-    pub(crate) fn get(&self, live_pos: usize, orig_idx: usize) -> Option<&(Tidset, Tidset)> {
+    fn get(&self, live_pos: usize, orig_idx: usize) -> Option<&(Tidset, Tidset)> {
         match self {
             TidSource::Shared(all) => Some(&all[orig_idx]),
             TidSource::Owned(cache) => cache[live_pos].as_ref(),
@@ -382,136 +264,6 @@ pub(crate) fn build_owned_tids(
         Some(tids) => tids.into_iter().map(Some).collect(),
         None => vec![None; live.len()],
     }
-}
-
-/// Incremental per-candidate `Σ tub` sums plus the transaction→candidate
-/// inverted index (CSR layout) that keeps them current as rules drain tub
-/// mass. `sum_fwd[p] = Σ_{t ∈ lt(p)} tub_R(t)` consumes right-side tub
-/// decrements through `off_fwd`/`idx_fwd`; `sum_bwd` mirrors it for the
-/// right supports against the left tub column.
-pub(crate) struct IncRub {
-    pub(crate) sum_fwd: Vec<f64>,
-    pub(crate) sum_bwd: Vec<f64>,
-    off_fwd: Vec<usize>,
-    idx_fwd: Vec<u32>,
-    off_bwd: Vec<usize>,
-    idx_bwd: Vec<u32>,
-    /// Itemset code lengths per live candidate (state-independent).
-    pub(crate) len_x: Vec<f64>,
-    pub(crate) len_y: Vec<f64>,
-}
-
-impl IncRub {
-    /// Folds one rule application's tub decrements into the maintained
-    /// sums: each `(side, tid, weight)` triple touches exactly the
-    /// candidates whose support contains that tid, via the inverted index.
-    pub(crate) fn fold(&mut self, deltas: Vec<(u8, u32, f64)>) {
-        for (ti, t, w) in deltas {
-            let t = t as usize;
-            if ti == 1 {
-                // The right-side tub column shrank → forward sums
-                // (left supports weighted over the right tub).
-                for &p in &self.idx_fwd[self.off_fwd[t]..self.off_fwd[t + 1]] {
-                    self.sum_fwd[p as usize] -= w;
-                }
-            } else {
-                for &p in &self.idx_bwd[self.off_bwd[t]..self.off_bwd[t + 1]] {
-                    self.sum_bwd[p as usize] -= w;
-                }
-            }
-        }
-    }
-
-    /// The admissible bound for candidate `i`: the maintained `rub` plus a
-    /// float-drift slack such that the *true* bound never exceeds it.
-    #[inline]
-    pub(crate) fn bound_with_slack(&self, i: usize) -> f64 {
-        let (sf, sb) = (self.sum_fwd[i], self.sum_bwd[i]);
-        let rub = bounds::rub_parts(sf, sb, self.len_x[i], self.len_y[i]);
-        rub + 1e-9 * (1.0 + sf.abs() + sb.abs())
-    }
-}
-
-/// Builds the incremental bound state, or `None` when it cannot pay off:
-/// some candidate's tidsets are uncached (walking supports here would cost
-/// what the index is meant to save) or the index itself would bust the
-/// shared tidset cache budget.
-pub(crate) fn build_inc_rub(
-    state: &CoverState<'_>,
-    live: &[&TwoViewCandidate],
-    live_idx: &[usize],
-    tids: &TidSource<'_>,
-) -> Option<IncRub> {
-    let data = state.data();
-    let n = data.n_transactions();
-    let mut total = 0usize;
-    for (pos, &idx) in live_idx.iter().enumerate().take(live.len()) {
-        let (lt, rt) = tids.get(pos, idx)?;
-        total += lt.len() + rt.len();
-    }
-    if 4 * total + 16 * (n + 1) > twoview_mining::TIDSET_CACHE_BUDGET_BYTES {
-        return None;
-    }
-    let mut count_fwd = vec![0u32; n];
-    let mut count_bwd = vec![0u32; n];
-    for (pos, &idx) in live_idx.iter().enumerate().take(live.len()) {
-        let (lt, rt) = tids.get(pos, idx)?;
-        for t in lt.iter() {
-            count_fwd[t] += 1;
-        }
-        for t in rt.iter() {
-            count_bwd[t] += 1;
-        }
-    }
-    let prefix = |counts: &[u32]| {
-        let mut off = Vec::with_capacity(counts.len() + 1);
-        let mut acc = 0usize;
-        off.push(0);
-        for &c in counts {
-            acc += c as usize;
-            off.push(acc);
-        }
-        off
-    };
-    let off_fwd = prefix(&count_fwd);
-    let off_bwd = prefix(&count_bwd);
-    let mut idx_fwd = vec![0u32; off_fwd[n]];
-    let mut idx_bwd = vec![0u32; off_bwd[n]];
-    let mut cur_fwd = off_fwd[..n].to_vec();
-    let mut cur_bwd = off_bwd[..n].to_vec();
-    let mut sum_fwd = Vec::with_capacity(live.len());
-    let mut sum_bwd = Vec::with_capacity(live.len());
-    let mut len_x = Vec::with_capacity(live.len());
-    let mut len_y = Vec::with_capacity(live.len());
-    let tub_r = state.uncovered_weights(Side::Right);
-    let tub_l = state.uncovered_weights(Side::Left);
-    for (pos, cand) in live.iter().enumerate() {
-        let (lt, rt) = tids.get(pos, live_idx[pos])?;
-        for t in lt.iter() {
-            idx_fwd[cur_fwd[t]] = pos as u32;
-            cur_fwd[t] += 1;
-        }
-        for t in rt.iter() {
-            idx_bwd[cur_bwd[t]] = pos as u32;
-            cur_bwd[t] += 1;
-        }
-        // Seeded with the exact kernel the legacy bound uses, so round-1
-        // decisions start from bit-identical sums.
-        sum_fwd.push(lt.weighted_len(tub_r));
-        sum_bwd.push(rt.weighted_len(tub_l));
-        len_x.push(state.codes().itemset(&cand.left));
-        len_y.push(state.codes().itemset(&cand.right));
-    }
-    Some(IncRub {
-        sum_fwd,
-        sum_bwd,
-        off_fwd,
-        idx_fwd,
-        off_bwd,
-        idx_bwd,
-        len_x,
-        len_y,
-    })
 }
 
 /// The full SELECT(k) loop over a pre-mined candidate set, with optional
@@ -563,74 +315,11 @@ pub(crate) fn run_select(
         None => TidSource::Owned(build_owned_tids(data, &live)),
     };
 
-    // Per-candidate `rub` eligibility under the cost gate. Supports and
-    // itemset sizes never change, so this is decided once: the bound's
-    // weighted popcount walks `|supp(X)| + |supp(Y)|` bits against the
-    // columnar kernel's `2·(|X|+|Y|)·⌈n/64⌉` word strides. With the
-    // word-parallel gather kernel behind `Bitmap::weighted_len` (per-word
-    // weight slices, independent accumulators) a bit costs ≈ 2 word ops,
-    // so the gate admits twice the support mass it used to. Ineligible
-    // candidates are always evaluated exactly, so the gate never changes
-    // the model.
-    let rub_eligible: Vec<bool> = if cfg.use_rub {
-        let n_words = data.n_transactions().div_ceil(64);
-        live.iter()
-            .enumerate()
-            .map(|(pos, c)| {
-                if !cfg.rub_cost_gate {
-                    return true;
-                }
-                let bound_bits = match tids.get(pos, live_idx[pos]) {
-                    Some((lt, rt)) => lt.len() + rt.len(),
-                    None => data.support_count(&c.left) + data.support_count(&c.right),
-                };
-                bound_bits < (c.left.len() + c.right.len()) * n_words
-            })
-            .collect()
-    } else {
-        vec![false; live.len()]
-    };
-
-    // Incremental `Σ tub` sums: replace the per-candidate bound
-    // recomputation — and with it the cost gate — when the bound is
-    // worth maintaining on this corpus. The decision comes from a probe:
-    // round two (the first round with a live pruning threshold) consults
-    // the exact bound for a prefix sample of the dirty candidates, and
-    // the index is built only when the probe's prune rate shows the
-    // bound bites. Once built, rule applications log their tub
-    // decrements, which are folded into the sums at the end of each
-    // round.
-    //
-    // The sample cap bounds the probe's cost on corpora where the bound
-    // never pays: forcing the exact bound for *every* dirty candidate is
-    // precisely the dense-support recomputation the cost gate exists to
-    // avoid, and one uncapped probe round was measurable against the
-    // whole run on dense cells. The sample strides the work list rather
-    // than taking a prefix — mined candidates sharing items are
-    // adjacent, so a prefix would over-represent one dirty cluster.
-    const PROBE_SAMPLE: usize = 128;
-    let mut bound_maintain = std::time::Duration::ZERO;
-    let mut n_prunes = 0usize;
-    let mut round2_prunes = 0usize;
-    let mut n_refreshes = 0usize;
-    let inc_enabled = cfg.use_rub && cfg.incremental_rub;
-    let mut inc: Option<IncRub> = None;
-    let mut inc_decided = !inc_enabled;
-    let mut any_rub = inc_enabled || rub_eligible.iter().any(|&e| e);
-    // Prune decisions / hits since the index was armed: the probe's rate
-    // can collapse at scale (early rounds prune dirty waves that later
-    // rounds refresh anyway), and folds are pure loss once it does, so a
-    // looser ongoing bar disarms the index again when that happens.
-    let mut inc_decisions = 0usize;
-    let mut inc_hits = 0usize;
-    let mut inc_was_armed = false;
-
     // Cached per-candidate gains, one per direction (Direction::ALL order).
-    // `dirty` marks stale caches; `skipped` marks candidates whose refresh
-    // was rub-pruned *this round* (cache still stale, excluded from entries).
+    // `dirty` marks stale caches.
     let mut gains: Vec<[f64; 3]> = vec![[f64::NEG_INFINITY; 3]; live.len()];
     let mut dirty: Vec<bool> = vec![true; live.len()];
-    let mut skipped: Vec<bool> = vec![false; live.len()];
+    let mut n_refreshes = 0usize;
 
     let n_workers = twoview_runtime::resolve_threads(cfg.n_threads);
     // The parallel refresh pays off once a round touches enough dirty
@@ -659,229 +348,41 @@ pub(crate) fn run_select(
         }
         iterations += 1;
 
-        // Pruning threshold: the k-th largest positive cached gain among
-        // clean candidates. Their caches are exact, so at least k entries
-        // with gain ≥ threshold exist before any dirty candidate is even
-        // looked at. Fixed before the refresh starts, so the refresh
-        // outcome is independent of worker count and visit order. Not
-        // worth computing when no candidate can consult the bound anyway.
-        let threshold = if any_rub && cfg.gain_cache {
-            let mut clean_gains: Vec<f64> = Vec::new();
-            for (idx, g) in gains.iter().enumerate() {
-                if !dirty[idx] {
-                    clean_gains.extend(g.iter().copied().filter(|&x| x > 0.0));
-                }
-            }
-            if clean_gains.len() >= cfg.k.max(1) {
-                let kth = cfg.k.max(1) - 1;
-                let (_, &mut kth_gain, _) =
-                    clean_gains.select_nth_unstable_by(kth, |a, b| b.total_cmp(a));
-                kth_gain
-            } else {
-                0.0
-            }
-        } else {
-            0.0
-        };
-
         // Refresh stale gains, in parallel for large work lists. The work
         // list holds dirty indices only: dirty candidates cluster (they
         // share items with the rules just applied, and mined candidates
         // with shared items are adjacent), so chunking the whole candidate
         // array would serialize the real work onto one or two workers.
-        let force = !cfg.gain_cache;
-        let probing = !inc_decided && iterations >= 2;
-        let inc_on = inc.is_some();
-        skipped.fill(false);
-        let work: Vec<usize> = if let Some(inc) = inc.as_ref() {
-            // Serial prune pass, O(1) per dirty candidate. The maintained
-            // sums carry float drift, so the pass brackets the true bound
-            // with `rub ± eps`: outside the bracket the decision is
-            // certain, and a bound whose bracket straddles the prune
-            // boundary is re-derived exactly from the cached tidsets —
-            // the decision is then bit-identical to full recomputation.
-            // lint: allow(determinism) — wall-clock timing feeds stats/obs only, never model state
-            let t0 = std::time::Instant::now();
-            let mut work = Vec::new();
-            let stale: Vec<usize> = (0..live.len()).filter(|&i| dirty[i] || force).collect();
-            for i in stale {
-                let (sf, sb) = (inc.sum_fwd[i], inc.sum_bwd[i]);
-                let rub = bounds::rub_parts(sf, sb, inc.len_x[i], inc.len_y[i]);
-                let eps = 1e-9 * (1.0 + sf.abs() + sb.abs());
-                let prune = if rub + eps <= 0.0 || rub + eps < threshold {
-                    true
-                } else if rub - eps > 0.0 && rub - eps >= threshold {
-                    false
-                } else {
-                    let (lt, rt) = tids
-                        .get(i, live_idx[i])
-                        // lint: allow(panic_hygiene) — the incremental index is only armed when the tidset cache is populated
-                        .expect("incremental rub requires cached tidsets");
-                    let exact = bounds::rub(&state, &live[i].left, &live[i].right, lt, rt);
-                    exact <= 0.0 || exact < threshold
-                };
-                inc_decisions += 1;
-                if prune {
-                    dirty[i] = true;
-                    skipped[i] = true;
-                    inc_hits += 1;
-                    n_prunes += 1;
-                } else {
-                    work.push(i);
-                }
-            }
-            bound_maintain += t0.elapsed();
-            work
-        } else {
-            (0..live.len()).filter(|&i| dirty[i] || force).collect()
-        };
-        // The probe consults the exact bound for a deterministic prefix
-        // sample of the round's work list (not the whole list: on dense
-        // corpora where the bound never bites, an unbounded probe would
-        // pay exactly the full-recompute cost the cost gate exists to
-        // avoid). Unsampled candidates keep the normal cost-gated path.
-        let probe_force: Vec<bool> = if probing {
-            let mut v = vec![false; live.len()];
-            let step = work.len().div_ceil(PROBE_SAMPLE).max(1);
-            for &i in work.iter().step_by(step) {
-                v[i] = true;
-            }
-            v
-        } else {
-            Vec::new()
-        };
-        let probe_decisions = if work.is_empty() {
-            0
-        } else {
-            work.len()
-                .div_ceil(work.len().div_ceil(PROBE_SAMPLE).max(1))
-        };
-        let mut probe_prunes = 0usize;
-        let prunes_before = n_prunes;
+        let work: Vec<usize> = (0..live.len())
+            .filter(|&i| dirty[i] || !cfg.gain_cache)
+            .collect();
         if n_workers > 1 && work.len() > refresh_floor {
-            let (state, live, live_idx, tids, rub_eligible, probe_force) =
-                (&state, &live, &live_idx, &tids, &rub_eligible, &probe_force);
-            let refresh_chunk = |idxs: &[usize]| {
-                idxs.iter()
-                    .map(|&i| {
-                        let mut g = [f64::NEG_INFINITY; 3];
-                        let ok = refresh_candidate(
-                            state,
-                            live[i],
-                            tids.get(i, live_idx[i]),
-                            threshold,
-                            (probing && probe_force[i]) || (!inc_on && rub_eligible[i]),
-                            &mut g,
-                        );
-                        (i, g, ok)
-                    })
-                    .collect::<Vec<_>>()
-            };
-            let results: Vec<Vec<(usize, [f64; 3], bool)>> = if cfg.legacy_scope {
-                // Pre-pool baseline: spawn-and-join one OS thread per
-                // worker each round, one static chunk per thread.
-                let chunk = work.len().div_ceil(n_workers).max(1);
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = work
-                        .chunks(chunk)
-                        .map(|idxs| s.spawn(move || refresh_chunk(idxs)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            // Re-raise a worker panic with its own payload
-                            // (no flattening into a second panic message).
-                            h.join()
-                                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                        })
-                        .collect()
-                })
-            } else {
-                // Persistent pool: finer chunks (stolen dynamically, so
-                // uneven candidate costs still balance) with results
-                // merged in submission order — the model is identical to
-                // the serial and scoped paths for any thread count.
-                let chunk = work.len().div_ceil(4 * n_workers).max(16);
-                twoview_runtime::global()
-                    .map_chunks(n_workers, &work, chunk, |_, idxs| refresh_chunk(idxs))
-            };
-            for (i, g, refreshed) in results.into_iter().flatten() {
-                if refreshed {
-                    gains[i] = g;
-                    dirty[i] = false;
-                    n_refreshes += 1;
-                } else {
-                    dirty[i] = true;
-                    skipped[i] = true;
-                    n_prunes += 1;
-                    if probing && probe_force[i] {
-                        probe_prunes += 1;
-                    }
-                }
+            let (state, live, live_idx, tids) = (&state, &live, &live_idx, &tids);
+            // Fine chunks are stolen dynamically, so uneven candidate costs
+            // still balance; results come back in submission order, so the
+            // model is identical to the serial path for any thread count.
+            let chunk = work.len().div_ceil(4 * n_workers).max(16);
+            let results =
+                twoview_runtime::global().map_chunks(n_workers, &work, chunk, |_, idxs| {
+                    idxs.iter()
+                        .map(|&i| candidate_gains(state, live[i], tids.get(i, live_idx[i])))
+                        .collect::<Vec<_>>()
+                });
+            for (&i, g) in work.iter().zip(results.into_iter().flatten()) {
+                gains[i] = g;
+                dirty[i] = false;
             }
         } else {
             for &i in &work {
-                if refresh_candidate(
-                    &state,
-                    live[i],
-                    tids.get(i, live_idx[i]),
-                    threshold,
-                    (probing && probe_force[i]) || (!inc_on && rub_eligible[i]),
-                    &mut gains[i],
-                ) {
-                    dirty[i] = false;
-                    n_refreshes += 1;
-                } else {
-                    dirty[i] = true;
-                    skipped[i] = true;
-                    n_prunes += 1;
-                    if probing && probe_force[i] {
-                        probe_prunes += 1;
-                    }
-                }
+                gains[i] = candidate_gains(&state, live[i], tids.get(i, live_idx[i]));
+                dirty[i] = false;
             }
         }
+        n_refreshes += work.len();
 
-        if iterations == 2 {
-            // Round two is the provable comparison point between bound
-            // configurations (see `SelectStats::round2_prunes`); the inc
-            // prune pass cannot have run yet, so the delta is all refresh
-            // prunes.
-            round2_prunes = n_prunes - prunes_before;
-        }
-
-        // Probe verdict: the probe round consulted the exact bound for a
-        // prefix sample of the stale candidates; arm the incremental
-        // index only when it pruned a meaningful share of the sample (the
-        // fold cost scales with cover updates, so a bound that never
-        // bites is pure overhead). Decided once per run, on refresh
-        // outcomes only — deterministic for any thread count. The index
-        // is seeded from the current cover state, so arming mid-run is
-        // exact.
-        if probing {
-            inc_decided = true;
-            if probe_decisions > 0 && probe_prunes * 2 >= probe_decisions {
-                // lint: allow(determinism) — wall-clock timing feeds stats/obs only, never model state
-                let t0 = std::time::Instant::now();
-                inc = build_inc_rub(&state, &live, &live_idx, &tids);
-                bound_maintain += t0.elapsed();
-                if inc.is_some() {
-                    inc_was_armed = true;
-                    state.set_tub_delta_log(true);
-                }
-            }
-            if inc.is_none() {
-                any_rub = rub_eligible.iter().any(|&e| e);
-            }
-        }
-
-        // Top-k candidate rules by gain (strictly positive only; rub-skipped
-        // candidates have stale caches and provably cannot make the cut).
+        // Top-k candidate rules by gain (strictly positive only).
         let mut entries: Vec<(f64, usize, Direction)> = Vec::new();
         for (idx, g) in gains.iter().enumerate() {
-            if skipped[idx] {
-                continue;
-            }
             for (gain, dir) in g.iter().zip(Direction::ALL) {
                 if *gain > 0.0 {
                     entries.push((*gain, idx, dir));
@@ -941,24 +442,6 @@ pub(crate) fn run_select(
                 dirty[idx] = true;
             }
         }
-
-        // Disarm permanently if the armed prune rate has collapsed below
-        // the arming bar — the probe round's rate is not always
-        // representative at scale, and once the bound stops biting every
-        // fold is pure loss. Same data-dependent determinism as arming.
-        if inc.is_some() && inc_decisions >= 1024 && inc_hits * 4 < inc_decisions {
-            inc = None;
-            state.set_tub_delta_log(false);
-            any_rub = rub_eligible.iter().any(|&e| e);
-        }
-
-        // Fold this round's tub decrements into the maintained sums.
-        if let Some(inc) = inc.as_mut() {
-            // lint: allow(determinism) — wall-clock timing feeds stats/obs only, never model state
-            let t0 = std::time::Instant::now();
-            inc.fold(state.take_tub_deltas());
-            bound_maintain += t0.elapsed();
-        }
     }
 
     // One registry fold per run; `SelectStats` reports the same locals.
@@ -966,21 +449,16 @@ pub(crate) fn run_select(
     metrics.runs.incr();
     metrics.iterations.add(iterations as u64);
     metrics.refreshes.add(n_refreshes as u64);
-    metrics.rub_prunes.add(n_prunes as u64);
-    metrics.round2_prunes.add(round2_prunes as u64);
     run_span
         .field("iterations", iterations)
-        .field("refreshes", n_refreshes)
-        .field("rub_prunes", n_prunes)
-        .field("incremental_active", inc_was_armed);
+        .field("refreshes", n_refreshes);
     drop(run_span);
     if let Some(s) = stats_out {
-        s.rub_prunes = n_prunes;
-        s.round2_prunes = round2_prunes;
-        s.refreshes = n_refreshes;
-        s.iterations = iterations;
-        s.bound_maintain_ms = bound_maintain.as_secs_f64() * 1e3;
-        s.incremental_active = inc_was_armed;
+        *s = SelectStats {
+            refreshes: n_refreshes,
+            iterations,
+            ..SelectStats::default()
+        };
     }
     let score = score_of(&state);
     Ok(TranslatorModel {
@@ -1044,91 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn rub_pruning_is_result_identical() {
-        // On toy data the cost gate would disable the bound entirely (one
-        // transaction word, dense supports), so force it off: every dirty
-        // candidate then really goes through the rub-prune branch, and the
-        // model must still match the unpruned run exactly.
-        let d = structured();
-        for k in [1, 3, 25] {
-            for incremental in [true, false] {
-                let base = SelectConfig {
-                    incremental_rub: incremental,
-                    ..SelectConfig::builder().k(k).minsup(1).build()
-                };
-                let forced = translator_select(
-                    &d,
-                    &SelectConfig {
-                        rub_cost_gate: false,
-                        ..base.clone()
-                    },
-                );
-                let gated = translator_select(&d, &base);
-                let without = translator_select(
-                    &d,
-                    &SelectConfig {
-                        use_rub: false,
-                        ..base.clone()
-                    },
-                );
-                assert_eq!(forced.table, without.table, "k={k} inc={incremental}");
-                assert_eq!(gated.table, without.table, "k={k} inc={incremental}");
-                assert!((forced.score.l_total - without.score.l_total).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_rub_is_result_identical_and_prunes_more() {
-        use twoview_data::synthetic::{self, StructureSpec, SyntheticSpec};
-        let spec = SyntheticSpec {
-            name: "inc-rub".into(),
-            n_transactions: 300,
-            n_left: 14,
-            n_right: 12,
-            density_left: 0.04,
-            density_right: 0.04,
-            structure: StructureSpec::strong(4),
-            seed: 9,
-        };
-        let d = synthetic::generate(&spec).expect("valid spec").dataset;
-        let mined = mine_closed_twoview(&d, &MinerConfig::builder().minsup(2).build()).candidates;
-        let cfg = SelectConfig::builder().k(1).minsup(2).build();
-        let mut inc_stats = SelectStats::default();
-        let inc = translator_select_candidates_with_stats(&d, &cfg, &mined, &mut inc_stats);
-        let mut leg_stats = SelectStats::default();
-        let leg = translator_select_candidates_with_stats(
-            &d,
-            &SelectConfig {
-                incremental_rub: false,
-                ..cfg.clone()
-            },
-            &mined,
-            &mut leg_stats,
-        );
-        assert_eq!(inc.table, leg.table, "incremental rub changed the model");
-        assert!((inc.score.l_total - leg.score.l_total).abs() < 1e-9);
-        assert!(inc_stats.incremental_active, "index should build here");
-        assert!(!leg_stats.incremental_active);
-        assert_eq!(inc_stats.iterations, leg_stats.iterations);
-        // Every candidate is bound-eligible under the incremental sums, so
-        // prune counts can only grow (and refreshes only shrink) vs the
-        // cost-gated baseline.
-        assert!(
-            inc_stats.rub_prunes >= leg_stats.rub_prunes,
-            "{} < {}",
-            inc_stats.rub_prunes,
-            leg_stats.rub_prunes
-        );
-        assert!(
-            inc_stats.refreshes <= leg_stats.refreshes,
-            "{} > {}",
-            inc_stats.refreshes,
-            leg_stats.refreshes
-        );
-    }
-
-    #[test]
     fn thread_count_is_result_identical() {
         let d = structured();
         let one = translator_select(
@@ -1150,12 +543,12 @@ mod tests {
     }
 
     #[test]
-    fn pool_path_matches_legacy_scoped_path() {
+    fn pool_path_matches_serial_path() {
         // A corpus big enough to clear the explicit-thread refresh floor,
-        // so the pool and the legacy scoped refresh both really run.
+        // so the pool refresh really runs.
         use twoview_data::synthetic::{self, StructureSpec, SyntheticSpec};
         let spec = SyntheticSpec {
-            name: "pool-vs-scope".into(),
+            name: "pool-vs-serial".into(),
             n_transactions: 200,
             n_left: 12,
             n_right: 10,
@@ -1165,33 +558,15 @@ mod tests {
             seed: 5,
         };
         let d = synthetic::generate(&spec).expect("valid spec").dataset;
-        let serial = translator_select(
-            &d,
-            &SelectConfig {
-                n_threads: Some(1),
-                ..SelectConfig::builder().k(2).minsup(2).build()
-            },
-        );
+        let cfg = |threads| SelectConfig {
+            n_threads: Some(threads),
+            ..SelectConfig::builder().k(2).minsup(2).build()
+        };
+        let serial = translator_select(&d, &cfg(1));
         for threads in [2, 4] {
-            let pool = translator_select(
-                &d,
-                &SelectConfig {
-                    n_threads: Some(threads),
-                    ..SelectConfig::builder().k(2).minsup(2).build()
-                },
-            );
-            let scoped = translator_select(
-                &d,
-                &SelectConfig {
-                    n_threads: Some(threads),
-                    legacy_scope: true,
-                    ..SelectConfig::builder().k(2).minsup(2).build()
-                },
-            );
+            let pool = translator_select(&d, &cfg(threads));
             assert_eq!(serial.table, pool.table, "pool, {threads} threads");
-            assert_eq!(serial.table, scoped.table, "scope, {threads} threads");
             assert!((serial.score.l_total - pool.score.l_total).abs() < 1e-9);
-            assert!((serial.score.l_total - scoped.score.l_total).abs() < 1e-9);
         }
     }
 

@@ -3,8 +3,8 @@
 //! The paper (Table 1) evaluates on datasets from the LUCS/KDD, UCI and
 //! MULAN repositories plus the Mammals atlas and the 2011 Finnish election
 //! engine — none of which we can redistribute. Each [`PaperDataset`] pairs
-//! the *paper-reported* statistics (kept verbatim for comparison in
-//! `EXPERIMENTS.md`) with a [`SyntheticSpec`] matched on `|D|`, `|I_L|`,
+//! the *paper-reported* statistics (kept verbatim for comparison by the
+//! `table1` runner of `twoview-eval`) with a [`SyntheticSpec`] matched on `|D|`, `|I_L|`,
 //! `|I_R|` and the two densities, and with planted cross-view structure
 //! whose strength is tuned so the corpus spans the paper's compressibility
 //! range (House ≈ 49% … Nursery ≈ 98%).

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on 14 real datasets that we cannot redistribute, so
 //! the corpus module re-creates each of them synthetically (see
-//! `DESIGN.md §4`). The generator here is the common machinery: it plants a
+//! [`crate::corpus`]). The generator here is the common machinery: it plants a
 //! configurable number of cross-view *concepts* — pairs `(X ⊆ I_L, Y ⊆ I_R)`
 //! that tend to occur together — and then adds independent background noise
 //! calibrated so each side hits a target density. The planted concepts are

@@ -17,7 +17,9 @@ fn main() {
     let blocks = table3(&datasets, &opts.scale);
     let table = render_table3(&blocks);
     println!("Table 3: comparison with Magnum-Opus-style, ReReMi-style and KRIMP baselines");
-    println!("(* reimplementations of the published methods; see DESIGN.md section 4)\n");
+    println!(
+        "(* reimplementations of the published methods compared in the paper's section 6.3)\n"
+    );
     print!("{}", table.render());
     match write_artifact("table3.tsv", &table.to_tsv()) {
         Ok(p) => eprintln!("\nwrote {}", p.display()),

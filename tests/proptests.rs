@@ -293,9 +293,9 @@ proptest! {
     }
 
     /// SELECT is model-identical across refresh thread counts and with the
-    /// rub round-pruning on or off.
+    /// gain cache on or off.
     #[test]
-    fn select_identical_across_threads_and_rub(data in dataset_strategy(), k in 1usize..4) {
+    fn select_identical_across_threads_and_gain_cache(data in dataset_strategy(), k in 1usize..4) {
         let mined = twoview::mining::mine_closed_twoview(
             &data,
             &MinerConfig::builder().minsup(1).build(),
@@ -306,12 +306,9 @@ proptest! {
             &mined.candidates,
         );
         for cfg in [
+            SelectConfig { n_threads: Some(2), ..SelectConfig::builder().k(k).minsup(1).build() },
             SelectConfig { n_threads: Some(4), ..SelectConfig::builder().k(k).minsup(1).build() },
-            SelectConfig { use_rub: false, n_threads: Some(1), ..SelectConfig::builder().k(k).minsup(1).build() },
-            // Gate off => the rub-prune branch really runs on this tiny data.
-            SelectConfig { rub_cost_gate: false, n_threads: Some(1), ..SelectConfig::builder().k(k).minsup(1).build() },
-            SelectConfig { rub_cost_gate: false, n_threads: Some(4), ..SelectConfig::builder().k(k).minsup(1).build() },
-            SelectConfig { use_rub: false, gain_cache: false, ..SelectConfig::builder().k(k).minsup(1).build() },
+            SelectConfig { gain_cache: false, ..SelectConfig::builder().k(k).minsup(1).build() },
         ] {
             let other = translator_select_candidates(&data, &cfg, &mined.candidates);
             prop_assert_eq!(&base.table, &other.table);
@@ -381,8 +378,7 @@ proptest! {
 
     /// SELECT, GREEDY, EXACT, and the eclat/closed miners all produce
     /// bit-identical output across thread counts {1, 2, max} through the
-    /// persistent pool, and SELECT additionally across the pool vs the
-    /// legacy `std::thread::scope` refresh path.
+    /// persistent pool.
     #[test]
     fn algorithms_identical_across_thread_counts(
         data in dataset_strategy(),
@@ -408,27 +404,18 @@ proptest! {
             prop_assert_eq!(&closed.itemsets, &base_closed.itemsets, "closed, {} threads", t);
         }
 
-        // SELECT: serial vs pool vs legacy scoped refresh.
+        // SELECT: serial vs pool refresh.
         let select_base = translator_select(
             &data,
             &SelectConfig { n_threads: Some(1), ..SelectConfig::builder().k(k).minsup(1).build() },
         );
         for &t in &thread_counts[1..] {
-            for legacy_scope in [false, true] {
-                let model = translator_select(
-                    &data,
-                    &SelectConfig {
-                        n_threads: Some(t),
-                        legacy_scope,
-                        ..SelectConfig::builder().k(k).minsup(1).build()
-                    },
-                );
-                prop_assert_eq!(
-                    &model.table, &select_base.table,
-                    "SELECT, {} threads, legacy_scope={}", t, legacy_scope
-                );
-                prop_assert!((model.score.l_total - select_base.score.l_total).abs() < 1e-9);
-            }
+            let model = translator_select(
+                &data,
+                &SelectConfig { n_threads: Some(t), ..SelectConfig::builder().k(k).minsup(1).build() },
+            );
+            prop_assert_eq!(&model.table, &select_base.table, "SELECT, {} threads", t);
+            prop_assert!((model.score.l_total - select_base.score.l_total).abs() < 1e-9);
         }
 
         // GREEDY: threaded candidate mining feeds the sequential filter.
